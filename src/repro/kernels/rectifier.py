@@ -28,14 +28,6 @@ update is piecewise affine in ``v``: *charging* (``v_oc > v``) follows
 ``a_d = 1 - dt/(Rl C)``. Within a segment of constant regime the solution
 is ``v_k = a^{k+1} (v_0 + sum_j a^{-(j+1)} b_j)``, evaluated blockwise so
 the negative powers never overflow.
-
-Backend portability: the step loop has two bodies. Namespaces with ufunc
-``out=`` support reuse per-step buffers exactly as the pre-port code did
-(the pinned reference path); portable namespaces run the same IEEE-754
-operations in the same order through fresh allocations, so the two bodies
-are bit-identical on NumPy. The ``"scan"`` method is a NumPy-only fast
-path (data-dependent segment walks) and silently falls back to ``"step"``
-on non-NumPy namespaces.
 """
 
 import math
@@ -45,7 +37,6 @@ import numpy as np
 
 from repro.constants import DEFAULT_RECTIFIER_STAGES, DIODE_THRESHOLD_V
 from repro.errors import ConfigurationError
-from repro.kernels.backend import get_namespace
 from repro.obs.context import current_obs
 
 METHODS = ("step", "scan")
@@ -88,7 +79,6 @@ def rectifier_batch(
     load_resistance_ohms: Optional[float] = 1e6,
     initial_voltage_v: Union[float, np.ndarray] = 0.0,
     method: str = "step",
-    backend=None,
 ) -> np.ndarray:
     """Storage-capacitor voltage traces for a block of envelope traces.
 
@@ -106,14 +96,10 @@ def rectifier_batch(
         method: ``"step"`` (bit-identical to the scalar loop) or
             ``"scan"`` (affine-scan fast path; falls back to ``"step"``
             per row outside its regime -- coarse steps, non-positive
-            charging coefficient, or excessive regime flips -- and
-            entirely on non-NumPy namespaces).
-        backend: Array backend to evaluate on (name, :class:`Backend`,
-            or ``None`` for the process default).
+            charging coefficient, or excessive regime flips).
 
     Returns:
-        Capacitor voltage after each sample, same shape as the input, in
-        the backend's namespace.
+        Capacitor voltage after each sample, same shape as the input.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -121,8 +107,6 @@ def rectifier_batch(
         dt_s, n_stages, threshold_v, source_resistance_ohms,
         storage_capacitance_f, load_resistance_ohms,
     )
-    be = get_namespace(backend)
-    xp = be.xp
     env = np.asarray(envelopes_v)
     if env.dtype.kind != "f":
         env = env.astype(np.float64)
@@ -138,115 +122,63 @@ def rectifier_batch(
         np.asarray(initial_voltage_v, dtype=env.dtype), (n_rows,)
     ).copy()
 
-    data = be.asarray(env)
-    zero = xp.asarray(0.0, dtype=data.dtype)
-    v_oc = n_stages * xp.maximum(zero, data - threshold_v)
-    if method == "scan" and be.is_numpy_namespace:
+    v_oc = n_stages * np.maximum(0.0, env - threshold_v)
+    if method == "scan":
         trace = _scan(
             v_oc, v0, dt_s, source_resistance_ohms,
             storage_capacitance_f, load_resistance_ohms,
         )
-    elif be.caps.inplace_out:
-        trace = _step(
-            xp, v_oc, be.asarray(v0), dt_s, source_resistance_ohms,
-            storage_capacitance_f, load_resistance_ohms,
-        )
     else:
-        trace = _step_portable(
-            be, v_oc, be.asarray(v0), dt_s, source_resistance_ohms,
+        trace = _step(
+            v_oc, v0, dt_s, source_resistance_ohms,
             storage_capacitance_f, load_resistance_ohms,
         )
     current_obs().metrics.counter("kernels.rectifier_samples").inc(env.size)
-    return xp.reshape(trace, (-1,)) if squeeze else trace
+    return trace[0] if squeeze else trace
 
 
 def _step(
-    xp,
-    v_oc,
-    v0,
+    v_oc: np.ndarray,
+    v0: np.ndarray,
     dt_s: float,
     rs: float,
     c_store: float,
     rl: Optional[float],
-):
-    """The reference recurrence, vectorized across rows per time step.
-
-    Requires ufunc ``out=`` support (``Capabilities.inplace_out``); this
-    is the pre-port buffer-reusing loop, byte for byte on NumPy.
-    """
+) -> np.ndarray:
+    """The reference recurrence, vectorized across rows per time step."""
     n_rows, n_samples = v_oc.shape
     dtype = v_oc.dtype
     # Time-major layout keeps each step's slice contiguous.
-    voc_t = xp.ascontiguousarray(v_oc.T)
-    trace = xp.empty((n_samples, n_rows), dtype=dtype)
+    voc_t = np.ascontiguousarray(v_oc.T)
+    trace = np.empty((n_samples, n_rows), dtype=dtype)
     v = v0.copy()
     tau_charge = rs * c_store
     coarse = dt_s > tau_charge
-    work = xp.empty(n_rows, dtype=dtype)
-    load = xp.empty(n_rows, dtype=dtype)
-    vnew = xp.empty(n_rows, dtype=dtype)
+    work = np.empty(n_rows, dtype=dtype)
+    load = np.empty(n_rows, dtype=dtype)
+    vnew = np.empty(n_rows, dtype=dtype)
     for index in range(n_samples):
         voc = voc_t[index]
-        xp.subtract(voc, v, out=work)
-        xp.maximum(0.0, work, out=work)
-        xp.divide(work, rs, out=work)  # charge current
+        np.subtract(voc, v, out=work)
+        np.maximum(0.0, work, out=work)
+        np.divide(work, rs, out=work)  # charge current
         if rl is not None:
-            xp.divide(v, rl, out=load)
-            xp.subtract(work, load, out=work)
+            np.divide(v, rl, out=load)
+            np.subtract(work, load, out=work)
         else:
-            xp.subtract(work, 0.0, out=work)
-        xp.multiply(work, dt_s, out=work)
-        xp.divide(work, c_store, out=work)  # dv
-        xp.add(v, work, out=vnew)
+            np.subtract(work, 0.0, out=work)
+        np.multiply(work, dt_s, out=work)
+        np.divide(work, c_store, out=work)  # dv
+        np.add(v, work, out=vnew)
         if coarse:
             clamp = (vnew > voc) & (voc > v)
-            xp.maximum(0.0, vnew, out=vnew)
-            xp.copyto(vnew, voc, where=clamp)
+            np.maximum(0.0, vnew, out=vnew)
+            np.copyto(vnew, voc, where=clamp)
         else:
-            xp.maximum(0.0, vnew, out=vnew)
+            np.maximum(0.0, vnew, out=vnew)
         v, vnew = vnew, v
         trace[index] = v
-    return xp.ascontiguousarray(trace.T)
-
-
-def _step_portable(
-    be,
-    v_oc,
-    v0,
-    dt_s: float,
-    rs: float,
-    c_store: float,
-    rl: Optional[float],
-):
-    """Array-API-clean step loop: same operations, fresh allocations.
-
-    Each step applies the identical IEEE-754 operations in the identical
-    order as :func:`_step` (subtracting an open-circuit load of 0.0 is a
-    bitwise no-op, so it is simply skipped), so the two loops agree bit
-    for bit on the NumPy namespace.
-    """
-    xp = be.xp
-    n_samples = v_oc.shape[1]
-    zero = xp.asarray(0.0, dtype=v_oc.dtype)
-    coarse = dt_s > rs * c_store
-    v = v0
-    columns = []
-    for index in range(n_samples):
-        voc = v_oc[:, index]
-        work = xp.maximum(zero, voc - v) / rs  # charge current
-        if rl is not None:
-            work = work - v / rl
-        work = work * dt_s
-        work = work / c_store  # dv
-        vnew = v + work
-        if coarse:
-            clamp = (vnew > voc) & (voc > v)
-            vnew = xp.where(clamp, voc, xp.maximum(zero, vnew))
-        else:
-            vnew = xp.maximum(zero, vnew)
-        v = vnew
-        columns.append(v)
-    return xp.stack(columns, axis=1)
+    return np.ascontiguousarray(trace.T)
 
 
 def _scan(
@@ -257,11 +189,7 @@ def _scan(
     c_store: float,
     rl: Optional[float],
 ) -> np.ndarray:
-    """Affine-scan rows where the regime allows it, step elsewhere.
-
-    NumPy-only: the segment walk is data-dependent host-side control
-    flow (see DESIGN section 15).
-    """
+    """Affine-scan rows where the regime allows it, step elsewhere."""
     tau_charge = rs * c_store
     k_charge = dt_s / tau_charge
     k_load = 0.0 if rl is None else dt_s / (rl * c_store)
@@ -280,7 +208,7 @@ def _scan(
             )
         if out is None:
             out = _step(
-                np, v_oc[row : row + 1], v0[row : row + 1], dt_s, rs,
+                v_oc[row : row + 1], v0[row : row + 1], dt_s, rs,
                 c_store, rl,
             )[0]
         trace[row] = out

@@ -63,26 +63,16 @@ MAD_TO_SIGMA = 1.4826
 def env_fingerprint(workers: Optional[int] = None) -> Dict[str, Any]:
     """The facts that make two bench runs comparable.
 
-    Rows whose fingerprints differ (new interpreter, different box,
-    different array backend) are excluded from each other's baselines
-    rather than averaged together. The backend key keeps the sentinel
-    from ever mixing NumPy baselines with CuPy/JAX rows; the device key
-    joins it whenever the backend is not on the CPU (so two different
-    GPUs never share a baseline either).
+    Rows whose fingerprints differ (new interpreter, different box) are
+    excluded from each other's baselines rather than averaged together.
     """
     import numpy as np
 
-    from repro.kernels.backend import default_backend
-
-    backend = default_backend()
     env: Dict[str, Any] = {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
-        "backend": backend.name,
     }
-    if backend.device != "cpu":
-        env["device"] = backend.device
     if workers is not None:
         env["workers"] = int(workers)
     return env

@@ -142,23 +142,6 @@ def plan_key(**config) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:24]
 
 
-def _active_backend_token() -> Optional[str]:
-    """Cache-key token for the process array backend.
-
-    ``None`` on the pinned bitwise-reference NumPy backend -- its keys
-    must stay byte-stable across this and every earlier revision. Any
-    other backend scores plans to tolerance only, so its plans get their
-    own key space (``name@device``) and can never be served to, or
-    poisoned by, the reference path.
-    """
-    from repro.kernels.backend import default_backend
-
-    backend = default_backend()
-    if backend.is_reference:
-        return None
-    return f"{backend.name}@{backend.device}"
-
-
 def peak_plan_key(
     *,
     n_antennas: int,
@@ -181,17 +164,10 @@ def peak_plan_key(
     rows from an older search algorithm can never be served as current),
     ``fault_token`` / ``adaptive_token`` isolate fault-injected and
     adaptive-allocation plans, and the worker count is **excluded**
-    (results are bit-identical for any fan-out). A non-reference array
-    backend adds its own token (see :func:`_active_backend_token`);
-    reference NumPy keys are byte-stable with earlier revisions. Exposed
-    publicly so the serve layer can address every cache tier -- memory,
-    legacy disk JSON, and the SQLite store -- by exactly the key the
-    search would compute.
+    (results are bit-identical for any fan-out). Exposed publicly so the
+    serve layer can address every cache tier -- memory, legacy disk JSON,
+    and the SQLite store -- by exactly the key the search would compute.
     """
-    extra = {}
-    backend_token = _active_backend_token()
-    if backend_token is not None:
-        extra["backend"] = backend_token
     return plan_key(
         kind="peak",
         n_antennas=n_antennas,
@@ -208,7 +184,6 @@ def peak_plan_key(
         search_rev=SEARCH_REV,
         fault_token=fault_token or "none",
         adaptive_token=adaptive_token,
-        **extra,
     )
 
 
@@ -231,10 +206,6 @@ def conduction_plan_key(
 ) -> str:
     """The cache key :func:`optimized_conduction_plan` uses (see
     :func:`peak_plan_key` for the hygiene rules)."""
-    extra = {}
-    backend_token = _active_backend_token()
-    if backend_token is not None:
-        extra["backend"] = backend_token
     return plan_key(
         kind="conduction",
         n_antennas=n_antennas,
@@ -252,7 +223,6 @@ def conduction_plan_key(
         search_rev=SEARCH_REV,
         fault_token=fault_token or "none",
         adaptive_token=adaptive_token,
-        **extra,
     )
 
 

@@ -717,9 +717,6 @@ class PlanService:
 
     def stats(self) -> Dict[str, Any]:
         """Live service counters (the GET /stats payload)."""
-        from repro.kernels.backend import default_backend
-
-        backend = default_backend()
         return {
             "uptime_s": round(time.time() - self.started_unix_s, 3),
             "requests": self.requests,
@@ -727,7 +724,6 @@ class PlanService:
             "errors": self.errors,
             "inflight": len(self._inflight),
             "workers": self.config.workers,
-            "backend": {"name": backend.name, "device": backend.device},
             "cache": {
                 "hits": self.cache.hits,
                 "misses": self.cache.misses,

@@ -7,10 +7,12 @@ import pytest
 from repro.core.optimizer import FrequencyOptimizer
 from repro.runtime.cache import (
     PlanCache,
+    conduction_plan_key,
     configure_search,
     get_search_defaults,
     optimized_conduction_plan,
     optimized_plan,
+    peak_plan_key,
     plan_key,
 )
 
@@ -24,6 +26,23 @@ class TestPlanKey:
         assert plan_key(kind="peak", seed=1, n_candidates=10) != base
         assert plan_key(kind="peak", seed=0, n_candidates=11) != base
         assert plan_key(kind="conduction", seed=0, n_candidates=10) != base
+
+    def test_plan_keys_are_byte_stable(self):
+        # Literal keys of stored SQLite and disk plans: a change here
+        # orphans every persisted plan, so it must be deliberate.
+        assert (
+            peak_plan_key(n_antennas=6, alpha=0.5, query_duration_s=800e-6)
+            == "7568fd0921c788f02ee8d23e"
+        )
+        assert (
+            conduction_plan_key(
+                n_antennas=6,
+                threshold=1.0,
+                alpha=0.5,
+                query_duration_s=800e-6,
+            )
+            == "0b59ea83cb6362f91df9140d"
+        )
 
 
 class TestSearchDefaults:

@@ -8,11 +8,10 @@ Usage::
         [--history BENCH_history.jsonl] [--collapsed STACKS.collapsed]
         [--store PLANS.sqlite] [--serve]
 
-The successor of ``check_trace_schema.py`` (which remains as a thin
-positional-argument wrapper): traces, metrics, manifests, the benchmark
-history JSONL, and collapsed-stack exports are all versioned schemas, and
-CI runs this against freshly written artifacts so drift fails the build
-instead of surfacing downstream.
+Traces, metrics, manifests, the benchmark history JSONL, and
+collapsed-stack exports are all versioned schemas, and CI runs this
+against freshly written artifacts so drift fails the build instead of
+surfacing downstream.
 
 Versioning: each schema carries its own ``*_SCHEMA_VERSION`` constant
 (``repro.obs.trace.TRACE_SCHEMA_VERSION``,
