@@ -1,12 +1,15 @@
 """Bench: the batched Monte-Carlo runtime vs the legacy scalar loop.
 
-The PR's acceptance gate, executable: at the paper's Fig. 4 trial count the
-batched engine must be at least 5x faster than the per-trial scalar path,
-and every path -- batched, process-pooled, legacy scalar -- must agree
-numerically (``"direct"`` bitwise, ``"fft"`` to floating-point noise).
+The runtime's acceptance gate, executable: at the paper's Fig. 4 trial
+count the batched engine must be at least 5x faster than the per-trial
+scalar loop, and every path -- batched, process-pooled, legacy scalar --
+must agree numerically (``"direct"`` bitwise, ``"fft"`` to floating-point
+noise). The scalar loops come from ``tests.oracles``; the direct tier is
+timed by making the offsets look FFT-incompatible.
 """
 
 import time
+from unittest import mock
 
 import numpy as np
 
@@ -14,17 +17,24 @@ from repro.constants import TANK_STANDOFF_POWER_GAIN_M
 from repro.core.plan import paper_plan
 from repro.em.phantoms import WaterTankPhantom
 from repro.experiments import fig04
-from repro.experiments.common import (
-    TankChannelFactory,
-    measure_gain_trials,
-    measure_gain_trials_scalar,
-)
+from repro.experiments.common import TankChannelFactory, measure_gain_trials
 from repro.experiments.report import Table
 from repro.runtime import engine as engine_mod
+from tests.oracles import measure_gain_trials_scalar, peak_amplitudes_scalar
 from conftest import run_once
 
 PAPER_TRIALS = 500  # Fig. 4 Monte-Carlo phase draws
 GAIN_TRIALS = 150  # Fig. 9's paper trial count
+
+
+def _direct_tier():
+    return mock.patch.object(engine_mod, "fft_compatible", return_value=False)
+
+
+def _scalar_tier():
+    return mock.patch.object(
+        engine_mod, "peak_amplitudes", peak_amplitudes_scalar
+    )
 
 
 def _best_of(fn, repeats=2):
@@ -44,23 +54,18 @@ def test_runtime_engine_speedup_and_equivalence(benchmark, emit):
         0.0, 2.0 * np.pi, (PAPER_TRIALS, offsets.size)
     )
     # Warm caches (BLAS/FFT plan setup) outside the timed region.
-    engine_mod.peak_amplitudes(offsets, betas[:8], 1.0, engine="fft")
+    engine_mod.peak_amplitudes(offsets, betas[:8], 1.0)
 
     def timed_comparison():
         scalar, t_scalar = _best_of(
-            lambda: engine_mod.peak_amplitudes(
-                offsets, betas, 1.0, engine="scalar"
-            )
+            lambda: peak_amplitudes_scalar(offsets, betas, 1.0)
         )
-        direct, _ = _best_of(
-            lambda: engine_mod.peak_amplitudes(
-                offsets, betas, 1.0, engine="direct"
+        with _direct_tier():
+            direct, _ = _best_of(
+                lambda: engine_mod.peak_amplitudes(offsets, betas, 1.0)
             )
-        )
         batched, t_batched = _best_of(
-            lambda: engine_mod.peak_amplitudes(
-                offsets, betas, 1.0, engine="fft"
-            )
+            lambda: engine_mod.peak_amplitudes(offsets, betas, 1.0)
         )
         return scalar, direct, batched, t_scalar, t_batched
 
@@ -88,12 +93,12 @@ def test_runtime_engine_speedup_and_equivalence(benchmark, emit):
 
 def test_fig04_paths_identical_across_workers(benchmark, emit):
     def all_paths():
-        auto = fig04.peak_factors(PAPER_TRIALS, 4, engine="auto")
-        pooled = fig04.peak_factors(
-            PAPER_TRIALS, 4, engine="auto", workers=4
-        )
-        scalar = fig04.peak_factors(PAPER_TRIALS, 4, engine="scalar")
-        direct = fig04.peak_factors(PAPER_TRIALS, 4, engine="direct")
+        auto = fig04.peak_factors(PAPER_TRIALS, 4)
+        pooled = fig04.peak_factors(PAPER_TRIALS, 4, workers=4)
+        with _scalar_tier():
+            scalar = fig04.peak_factors(PAPER_TRIALS, 4)
+        with _direct_tier():
+            direct = fig04.peak_factors(PAPER_TRIALS, 4)
         return auto, pooled, scalar, direct
 
     auto, pooled, scalar, direct = run_once(benchmark, all_paths)
@@ -130,9 +135,7 @@ def test_gain_trials_batched_vs_scalar(benchmark, emit):
             repeats=1,
         )
         batched, t_batched = _best_of(
-            lambda: measure_gain_trials(
-                factory, plan, GAIN_TRIALS, 9, engine="auto"
-            ),
+            lambda: measure_gain_trials(factory, plan, GAIN_TRIALS, 9),
             repeats=1,
         )
         return legacy, batched, t_scalar, t_batched

@@ -15,6 +15,10 @@ Gen2 MAC in :mod:`repro.gen2` to the physical layer at population scale:
   the batched :func:`repro.kernels.capture_batch` receive and
   :func:`repro.kernels.fm0_block_errors` decode kernels, under
   :mod:`repro.faults` plans (dropout, detuning, bit corruption).
+  :func:`run_inventory` is the only resolver shipped; the regression
+  suite pins it bitwise against a reference that walks real Gen2 tag
+  state machines slot by slot (kept in the test suite's
+  ``tests/oracles/`` package, outside the installed package).
 * :mod:`repro.fleet.campaign` -- a sharded campaign runner on
   :class:`~repro.runtime.runner.TrialRunner` producing the versioned
   read-rate / time-to-inventory / missed-tag-fraction results family.
@@ -24,7 +28,6 @@ from repro.fleet.collision import (
     CaptureModel,
     ShardInventoryResult,
     run_inventory,
-    run_inventory_reference,
 )
 from repro.fleet.campaign import (
     FLEET_SCHEMA_VERSION,
@@ -51,7 +54,6 @@ __all__ = [
     "generate_shard",
     "run_fleet_campaign",
     "run_inventory",
-    "run_inventory_reference",
     "shard_bounds",
     "validate_fleet_dict",
 ]

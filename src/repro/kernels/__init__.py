@@ -3,8 +3,9 @@
 The time-domain models that decide whether a CIB peak powers a tag and
 whether its backscatter decodes -- rectifier integration, power-management
 hysteresis, multi-period reader capture, FM0 block decoding -- all have
-per-sample or per-period scalar reference loops elsewhere in the package.
-The kernels here evaluate the same recurrences over ``(B, T)`` blocks with
+per-sample or per-period scalar reference loops (the rectifier's is
+:meth:`repro.harvester.rectifier.MultiStageRectifier.simulate`; the others
+live in the test suite's ``tests/oracles/`` package). The kernels here evaluate the same recurrences over ``(B, T)`` blocks with
 the Python loop removed (or reduced to the time axis alone), and they are
 **bit-identical** to the scalar references: identical IEEE-754 operations
 applied to identical values in identical order, so the regression suite

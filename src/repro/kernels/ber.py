@@ -1,8 +1,9 @@
 """Block-decoded BER trial kernel.
 
-:func:`ber_block` is a drop-in replacement for the per-word chunk
-function of :mod:`repro.experiments.ber`: same signature, same per-scheme
-error counts, bit for bit. Each word's randomness still comes from its own
+:func:`ber_block` is the chunk function of :mod:`repro.experiments.ber`;
+it returns the same per-scheme error counts, bit for bit, as the
+one-word-per-iteration reference (``tests.oracles.word_errors_chunk``)
+it replaced, which keeps that reference's signature. Each word's randomness still comes from its own
 spawned generator (that is the worker-count-invariance contract), but the
 kernel draws each word's noise in single C-order RNG calls, encodes each
 word once (the scalar path re-encodes the same word for the plain and the
@@ -96,7 +97,7 @@ def ber_block(
 ) -> Dict[str, int]:
     """Per-scheme bit-error counts for words ``[start, start + count)``.
 
-    Bit-identical to ``repro.experiments.ber._word_errors_chunk`` for any
+    Bit-identical to ``tests.oracles.word_errors_chunk`` for any
     chunking: per-word generators come from the same
     ``spawn_rngs(seed, n_words)`` list and each word's draws (bits, FM0
     noise, per-Miller noise, averaged-FM0 noise) happen in the legacy

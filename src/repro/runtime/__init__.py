@@ -7,8 +7,10 @@ the production trial engine the experiment drivers share instead:
 
 * :mod:`repro.runtime.engine` -- **batched evaluation**: channel draws are
   stacked into ``(D, N)`` arrays and whole trial batches flow through the
-  batched-FFT envelope path (or a chunked direct-envelope path when the
-  offsets are not FFT-compatible), eliminating the per-trial loop.
+  batched-FFT envelope path, or a chunked direct-envelope path when the
+  offsets are not FFT-compatible. The tier follows from the offsets;
+  there is no per-call switch. The per-trial loops it replaced live in
+  the test suite's ``tests/oracles/`` package as parity references.
 * :mod:`repro.runtime.runner` -- **process-pool fan-out**:
   :class:`TrialRunner` chunks trials across a
   ``concurrent.futures.ProcessPoolExecutor`` with deterministic per-chunk
@@ -52,17 +54,11 @@ from repro.runtime.cache import (
     optimized_conduction_plan,
     optimized_plan,
 )
-from repro.runtime.engine import (
-    ENGINES,
-    fft_compatible,
-    peak_amplitudes,
-    resolve_engine,
-)
+from repro.runtime.engine import fft_compatible, peak_amplitudes
 from repro.runtime.instrument import Instrumentation, get_instrumentation
 from repro.runtime.runner import TrialRunner
 
 __all__ = [
-    "ENGINES",
     "AdaptiveConfig",
     "AdaptiveOutcome",
     "Instrumentation",
@@ -80,5 +76,4 @@ __all__ = [
     "optimized_conduction_plan",
     "optimized_plan",
     "peak_amplitudes",
-    "resolve_engine",
 ]

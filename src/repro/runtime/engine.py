@@ -1,35 +1,32 @@
 """Batched Monte-Carlo evaluation kernels.
 
-The legacy experiment loop in :mod:`repro.experiments.common` evaluates one
-channel draw per Python iteration. The kernels here stack all of a chunk's
-draws into ``(D, N)`` arrays and evaluate the peaks in a handful of numpy
-calls, choosing between three numerically characterized tiers:
+The kernels here stack all of a chunk's channel draws into ``(D, N)``
+arrays and evaluate the peaks in a handful of numpy calls, on one of two
+numerically characterized tiers chosen from the offsets:
 
 * ``"fft"`` -- the envelope over the capture grid is an inverse DFT of a
   sparse spectrum (:func:`repro.core.optimizer.peak_amplitudes_fft`).
-  Available when every ``offset * duration`` is a distinct integer bin;
-  within a tier, batch evaluation is bitwise identical to row-by-row
-  evaluation, and it agrees with ``"direct"`` to ~1e-13 relative (the
-  summation order differs).
+  Used when every ``offset * duration`` is a distinct integer bin
+  (:func:`fft_compatible`); within a tier, batch evaluation is bitwise
+  identical to row-by-row evaluation, and it agrees with ``"direct"`` to
+  ~1e-13 relative (the summation order differs).
 * ``"direct"`` -- chunked :func:`repro.core.waveform.batch_peak_envelope`
-  over the same time grid; bitwise identical to the legacy scalar loop.
-* ``"scalar"`` -- one :func:`repro.core.waveform.peak_envelope` call per
-  draw; the reference implementation the regression tests compare against.
-
-``"auto"`` picks ``"fft"`` when the offsets are compatible, else
-``"direct"``.
+  over the same time grid, for offsets that miss the FFT grid; bitwise
+  identical to one :func:`repro.core.waveform.peak_envelope` call per
+  draw.
 
 Working-set control matters more than raw vectorization here: a full
-``(D, N, T)`` direct evaluation can be slower than the scalar loop once the
-temporaries fall out of cache, so both vector tiers process draws in
+``(D, N, T)`` direct evaluation can be slower than a per-draw loop once
+the temporaries fall out of cache, so both tiers process draws in
 bounded-size chunks.
 
 The ``*_chunk`` functions at the bottom are the units of work the
 process-pool :class:`repro.runtime.runner.TrialRunner` fans out. Each one
 re-derives its per-trial generators from
 ``SeedSequence(seed).spawn(n_trials)[start:start + count]`` and replicates
-the legacy per-trial draw order exactly, which is what makes results
-bit-identical across engines, chunk sizes, and worker counts.
+the per-trial draw order of the one-trial-per-iteration reference loops
+exactly, which is what makes results bit-identical across chunk sizes
+and worker counts.
 """
 
 import math
@@ -59,9 +56,6 @@ from repro.sensors.tags import TagSpec
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.faults.plan import FaultPlan
-
-ENGINES = ("auto", "fft", "direct", "scalar")
-"""Recognized engine names, in order of preference."""
 
 PEAK_HIST_EDGES = (
     0.001, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 1000.0,
@@ -113,26 +107,15 @@ def fft_compatible(
     return True
 
 
-def resolve_engine(
-    engine: str,
+def _resolve_tier(
     offsets_hz: np.ndarray,
     duration_s: float,
     oversample: int = waveform.DEFAULT_OVERSAMPLE,
 ) -> str:
-    """Map an engine request to a concrete tier for this offset set."""
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    if engine == "auto":
-        if fft_compatible(offsets_hz, duration_s, oversample):
-            return "fft"
-        return "direct"
-    if engine == "fft" and not fft_compatible(offsets_hz, duration_s, oversample):
-        raise ValueError(
-            "fft engine requires offsets_hz * duration_s to be distinct "
-            f"integer bins, got offsets {np.asarray(offsets_hz)} over "
-            f"{duration_s}s"
-        )
-    return engine
+    """The tier that evaluates this offset set: ``"fft"`` or ``"direct"``."""
+    if fft_compatible(offsets_hz, duration_s, oversample):
+        return "fft"
+    return "direct"
 
 
 def _direct_peaks(
@@ -184,7 +167,6 @@ def peak_amplitudes(
     betas: np.ndarray,
     duration_s: float = 1.0,
     amplitudes: Optional[np.ndarray] = None,
-    engine: str = "auto",
     oversample: int = waveform.DEFAULT_OVERSAMPLE,
 ) -> np.ndarray:
     """Peak envelope of each draw over the capture window.
@@ -195,7 +177,6 @@ def peak_amplitudes(
         duration_s: Capture window; the grid matches
             :func:`repro.core.waveform.time_grid`.
         amplitudes: Optional amplitudes, shape (N,) or per-draw (D, N).
-        engine: One of :data:`ENGINES`.
 
     Returns:
         Shape (D,) array of ``max_t |y_d(t)|``.
@@ -203,19 +184,10 @@ def peak_amplitudes(
     offsets = np.asarray(offsets_hz, dtype=float)
     betas = np.atleast_2d(np.asarray(betas, dtype=float))
     amps = None if amplitudes is None else np.asarray(amplitudes, dtype=float)
-    mode = resolve_engine(engine, offsets, duration_s, oversample)
-    if mode == "scalar":
-        out = np.empty(betas.shape[0])
-        for index in range(betas.shape[0]):
-            row_amps = amps if amps is None or amps.ndim == 1 else amps[index]
-            out[index], _ = waveform.peak_envelope(
-                offsets, betas[index], duration_s, row_amps, oversample
-            )
-        return out
     t = waveform.time_grid(offsets, duration_s, oversample)
-    if mode == "direct":
-        return _direct_peaks(offsets, betas, t, amps)
-    return _fft_peaks(offsets, betas, duration_s, amps, t.size)
+    if fft_compatible(offsets, duration_s, oversample):
+        return _fft_peaks(offsets, betas, duration_s, amps, t.size)
+    return _direct_peaks(offsets, betas, t, amps)
 
 
 def _blind_peaks(
@@ -288,8 +260,8 @@ def _faulted_peaks(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-trial peak envelopes under a fault plan, plus voltage scales.
 
-    Fault-active chunks evaluate trial-by-trial on the scalar tier:
-    reference-holdover drift perturbs each trial's *offsets*, so the
+    Fault-active chunks evaluate trial by trial (counted under the
+    ``engine.tier.scalar`` label): reference-holdover drift perturbs each trial's *offsets*, so the
     batched tiers' shared frequency grid no longer exists. The absolute
     trial index ``start + i`` keys each trial's fault realization, keeping
     results independent of chunking and worker count.
@@ -327,20 +299,20 @@ def measure_gain_chunk(
     n_trials: int,
     duration_s: float,
     include_baseline: bool,
-    engine: str,
     fault_plan: Optional["FaultPlan"] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Gains of trials ``[start, start + count)`` of a Sec. 6.1.1 sweep.
 
-    Returns ``(cib_gains, baseline_gains)`` arrays matching what the legacy
-    scalar loop stores in its :class:`~repro.experiments.common.GainSample`
-    list for the same trial indices. A non-empty ``fault_plan`` perturbs
+    Returns ``(cib_gains, baseline_gains)`` arrays matching what a
+    one-trial-per-iteration loop stores in its
+    :class:`~repro.experiments.common.GainSample` list for the same trial
+    indices. A non-empty ``fault_plan`` perturbs
     the CIB side of each trial (the single-antenna reference and blind
     baseline stay healthy, so the gains show pure CIB degradation) and
-    forces the scalar tier; an empty plan is bit-identical to omitting it.
+    forces per-trial evaluation; an empty plan is bit-identical to omitting it.
     """
     obs = current_obs()
-    tier = resolve_engine(engine, plan.offsets_array(), duration_s)
+    tier = _resolve_tier(plan.offsets_array(), duration_s)
     injector = _fault_injector(fault_plan, seed)
     if injector is not None:
         tier = "scalar"  # per-trial offset drift breaks shared grids
@@ -396,7 +368,7 @@ def measure_gain_chunk(
             )
         else:
             cib_peaks = peak_amplitudes(
-                offsets, cib_betas, duration_s, cib_amps, engine
+                offsets, cib_betas, duration_s, cib_amps
             )
         if include_baseline:
             baseline_peaks = _blind_peaks(
@@ -427,7 +399,6 @@ def power_up_chunk(
     tag_spec: TagSpec,
     seed: int,
     n_trials: int,
-    engine: str,
     fault_plan: Optional["FaultPlan"] = None,
 ) -> int:
     """Power-up successes among trials ``[start, start + count)``.
@@ -441,7 +412,7 @@ def power_up_chunk(
     obs = current_obs()
     if eirp_per_branch_w <= 0:
         raise ValueError("EIRP must be positive")
-    tier = resolve_engine(engine, plan.offsets_array(), 1.0)
+    tier = _resolve_tier(plan.offsets_array(), 1.0)
     injector = _fault_injector(fault_plan, seed)
     if injector is not None:
         tier = "scalar"  # per-trial offset drift breaks shared grids
@@ -481,9 +452,7 @@ def power_up_chunk(
                 injector, start, offsets, betas, amplitudes, 1.0
             )
         else:
-            peak_fields = peak_amplitudes(
-                offsets, betas, 1.0, amplitudes, engine
-            )
+            peak_fields = peak_amplitudes(offsets, betas, 1.0, amplitudes)
             voltage_scales = None
     obs.metrics.histogram("envelope.peak", PEAK_HIST_EDGES).observe_many(
         peak_fields
@@ -518,7 +487,7 @@ def _envelope_block(
     Sparse-spectrum FFT when every carrier lands on an integer bin of the
     ``n_samples`` grid (one inverse FFT for the whole block, bitwise equal
     to evaluating rows one at a time), else the direct evaluation row by
-    row -- mirroring the scalar experiment's fallback exactly.
+    row -- mirroring the per-trial reference's fallback exactly.
     """
     betas = np.atleast_2d(betas)
     amplitudes = np.atleast_2d(amplitudes)
@@ -558,7 +527,7 @@ def wakeup_latency_chunk(
     ``i`` is depth ``depths_m[i // n_trials_per_depth]``, draw
     ``i % n_trials_per_depth``. Each depth re-derives its generators from
     ``spawn_rngs(seed + int(depth * 1e4), n_trials_per_depth)`` -- the
-    exact seeding of the legacy per-depth loop -- so results are
+    exact seeding of the per-depth reference loop -- so results are
     bit-identical across chunk sizes and worker counts.
 
     Returns a ``(count,)`` float array of latencies in seconds, with NaN
@@ -612,7 +581,7 @@ def wakeup_latency_chunk(
                     0.0, _TWO_PI, gains.size
                 ) + np.angle(gains)
                 amplitudes[row] = field_scale * np.abs(gains)
-                # The scalar path builds a BatteryFreeSensor here, whose
+                # The per-trial reference builds a BatteryFreeSensor here, whose
                 # EPC consumes one 96-bit draw; replicate it (value unused)
                 # to keep the per-trial stream aligned.
                 rng.integers(0, 2, 96)
@@ -674,7 +643,6 @@ def strategy_gain_chunk(
     seed: int,
     n_trials: int,
     duration_s: float,
-    engine: str,
 ) -> np.ndarray:
     """Strategy-vs-reference gains for trials ``[start, start + count)``.
 
@@ -682,7 +650,7 @@ def strategy_gain_chunk(
     are accumulated into batches (grouped by plan / configuration in case
     the factory varies them per channel), time-invariant strategies are
     evaluated on a single sample, and anything unrecognized falls back to
-    the legacy per-trial call with the same generator -- so the returned
+    the per-trial call with the same generator -- so the returned
     gains match :func:`repro.experiments.common.measure_strategy_gains`
     exactly.
     """
@@ -757,7 +725,7 @@ def strategy_gain_chunk(
     with obs.stage_span("strategy_gains.evaluate", trials=count) as span:
         for group in cib_groups.values():
             idx = np.asarray(group["idx"], dtype=int)
-            tier = resolve_engine(engine, group["offsets"], duration_s)
+            tier = _resolve_tier(group["offsets"], duration_s)
             span.attrs["tier"] = tier
             obs.metrics.counter(f"engine.tier.{tier}").inc()
             peaks = peak_amplitudes(
@@ -765,7 +733,6 @@ def strategy_gain_chunk(
                 np.vstack(group["betas"]),
                 duration_s,
                 np.vstack(group["amps"]),
-                engine,
             )
             obs.metrics.histogram(
                 "envelope.peak", PEAK_HIST_EDGES

@@ -172,9 +172,14 @@ def _medium_key(name: str) -> str:
     return name.strip().lower().replace("_", " ")
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer: ``int`` but not ``bool`` (``true`` is not 1 here)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _positive_int(payload: Dict[str, Any], name: str, default: int) -> int:
     value = payload.get(name, default)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+    if not _is_int(value) or value < 1:
         raise ServeRequestError(f"{name} must be a positive integer")
     return value
 
@@ -298,15 +303,21 @@ def parse_request(payload: Any) -> PlanRequest:
         if medium is None:
             raise ServeRequestError("depth_m requires a medium")
     refine_steps = payload.get("refine_steps", (1, 2, 5, 10, 20))
-    if isinstance(refine_steps, (list, tuple)):
-        try:
-            refine_steps = tuple(int(step) for step in refine_steps)
-        except (TypeError, ValueError):
-            raise ServeRequestError("refine_steps must be integers")
-    else:
+    if not isinstance(refine_steps, (list, tuple)) or not all(
+        _is_int(step) for step in refine_steps
+    ):
         raise ServeRequestError("refine_steps must be a list of integers")
+    refine_steps = tuple(refine_steps)
     if any(step < 1 for step in refine_steps):
         raise ServeRequestError("refine_steps must be positive")
+    center_frequency_hz = _number(
+        payload, "center_frequency_hz", CIB_CENTER_FREQUENCY_HZ
+    )
+    if center_frequency_hz <= 0:
+        raise ServeRequestError("center_frequency_hz must be positive")
+    seed = payload.get("seed", 0)
+    if not _is_int(seed) or seed < 0:
+        raise ServeRequestError("seed must be a non-negative integer")
     eirp_watts = _number(payload, "eirp_watts", DEFAULT_EIRP_WATTS)
     air_distance_m = _number(
         payload, "air_distance_m", DEFAULT_AIR_DISTANCE_M
@@ -321,17 +332,10 @@ def parse_request(payload: Any) -> PlanRequest:
         threshold=threshold,
         alpha=alpha,
         query_duration_s=query_duration_s,
-        center_frequency_hz=_number(
-            payload, "center_frequency_hz", CIB_CENTER_FREQUENCY_HZ
-        ),
+        center_frequency_hz=center_frequency_hz,
         n_draws=_positive_int(payload, "n_draws", 48),
         grid_size=_positive_int(payload, "grid_size", DEFAULT_GRID_SIZE),
-        seed=(
-            payload.get("seed", 0)
-            if isinstance(payload.get("seed", 0), int)
-            and not isinstance(payload.get("seed", 0), bool)
-            else _raise_seed()
-        ),
+        seed=seed,
         n_candidates=_positive_int(
             payload, "n_candidates", 120 if kind == "peak" else 60
         ),
@@ -347,10 +351,6 @@ def parse_request(payload: Any) -> PlanRequest:
         eirp_watts=eirp_watts,
         air_distance_m=air_distance_m,
     )
-
-
-def _raise_seed():
-    raise ServeRequestError("seed must be an integer")
 
 
 @dataclass

@@ -2,18 +2,20 @@
 
 The batched pipeline (stacked IFFTs, coarse shortlisting, steepest-ascent
 neighborhood batching, search islands) must select *bit-identical* plans to
-the per-candidate sequential loop under common random numbers -- these
-tests pin that contract for ``optimize``, ``optimize_conduction`` and
-``rank_random_sets``, plus the shared sparse-spectrum builder's validation
-and the per-search evaluation accounting.
+the per-candidate sequential loop (``tests.oracles.score_matrix_sequential``)
+under common random numbers -- these tests pin that contract for
+``optimize``, ``optimize_conduction`` and ``rank_random_sets``, plus the
+shared sparse-spectrum builder's validation and the per-search evaluation
+accounting.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.core.optimizer import (
     DEFAULT_GRID_SIZE,
-    SEARCH_MODES,
     FrequencyOptimizer,
     build_sparse_spectrum,
     envelope_series_fft,
@@ -22,6 +24,7 @@ from repro.core.optimizer import (
 )
 from repro.core.waveform import envelope
 from repro.errors import ConfigurationError
+from tests.oracles import score_matrix_sequential
 
 
 def _pair(n_antennas, seed, n_draws=16):
@@ -29,6 +32,13 @@ def _pair(n_antennas, seed, n_draws=16):
     return (
         FrequencyOptimizer(n_antennas, n_draws=n_draws, seed=seed),
         FrequencyOptimizer(n_antennas, n_draws=n_draws, seed=seed),
+    )
+
+
+def _sequential():
+    """Score one candidate per kernel call for the duration of the block."""
+    return mock.patch.object(
+        FrequencyOptimizer, "_score_matrix", score_matrix_sequential
     )
 
 
@@ -78,19 +88,15 @@ class TestBatchedScoring:
         optimizer = FrequencyOptimizer(3, n_draws=4, seed=0)
         with pytest.raises(ValueError):
             optimizer.score_candidates([(0, 4, 4)])
-        with pytest.raises(ValueError):
-            optimizer.score_candidates([(0, 1, 2)], mode="nonsense")
+        with _sequential(), pytest.raises(ValueError):
+            optimizer.score_candidates([(0, 4, 4)])
 
     def test_coarse_values_lower_bound_fine_peaks(self):
         optimizer = FrequencyOptimizer(5, n_draws=8, seed=9)
         assert optimizer.coarse_grid_size is not None
         candidates = optimizer.random_candidates(12)
-        coarse = optimizer._score_matrix(
-            candidates, "coarse", "peak", 0.0, "batched"
-        )
-        fine = optimizer._score_matrix(
-            candidates, "fine", "peak", 0.0, "batched"
-        )
+        coarse = optimizer._score_matrix(candidates, "coarse", "peak", 0.0)
+        fine = optimizer._score_matrix(candidates, "fine", "peak", 0.0)
         # Coarse time samples are a subset of the fine grid, so coarse
         # peaks cannot exceed fine peaks (up to single-precision noise,
         # after undoing the coarse path's skipped 1/M rescale).
@@ -120,8 +126,9 @@ class TestModeEquivalence:
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_optimize_modes_bit_identical(self, seed):
         batched, sequential = _pair(5, seed)
-        a = batched.optimize(30, 1, mode="batched")
-        b = sequential.optimize(30, 1, mode="sequential")
+        a = batched.optimize(30, 1)
+        with _sequential():
+            b = sequential.optimize(30, 1)
         assert a.plan.offsets_hz == b.plan.offsets_hz
         assert a.expected_peak == b.expected_peak
         assert a.history == b.history
@@ -129,27 +136,26 @@ class TestModeEquivalence:
 
     def test_optimize_conduction_modes_bit_identical(self):
         batched, sequential = _pair(5, 7)
-        a = batched.optimize_conduction(2.0, 15, 1, mode="batched")
-        b = sequential.optimize_conduction(2.0, 15, 1, mode="sequential")
+        a = batched.optimize_conduction(2.0, 15, 1)
+        with _sequential():
+            b = sequential.optimize_conduction(2.0, 15, 1)
         assert a.plan.offsets_hz == b.plan.offsets_hz
         assert a.expected_peak == b.expected_peak
         assert a.history == b.history
 
     def test_rank_random_sets_modes_bit_identical(self):
         batched, sequential = _pair(6, 2)
-        assert batched.rank_random_sets(20, mode="batched") == (
-            sequential.rank_random_sets(20, mode="sequential")
-        )
+        expected = batched.rank_random_sets(20)
+        with _sequential():
+            assert sequential.rank_random_sets(20) == expected
 
     def test_zero_refinement_budget(self):
         batched, sequential = _pair(4, 5)
-        a = batched.optimize(10, 0, mode="batched")
-        b = sequential.optimize(10, 0, mode="sequential")
+        a = batched.optimize(10, 0)
+        with _sequential():
+            b = sequential.optimize(10, 0)
         assert a.plan.offsets_hz == b.plan.offsets_hz
         assert a.expected_peak == b.expected_peak
-
-    def test_modes_cover_both_kernels(self):
-        assert SEARCH_MODES == ("batched", "sequential")
 
 
 class TestSearchIslands:

@@ -1,10 +1,15 @@
 """Regression: the batched/parallel runtime reproduces the scalar loops.
 
-The PR's core contract: at fixed seeds, the batched ``"direct"`` tier and
-the process-pool fan-out return *bit-identical* results to the legacy
-one-trial-per-iteration reference implementations, for every worker count
-and chunking; the ``"fft"`` tier agrees to floating-point noise.
+The runtime's core contract: at fixed seeds, the batched ``"direct"`` tier
+and the process-pool fan-out return *bit-identical* results to the
+one-trial-per-iteration reference loops in ``tests.oracles``, for every
+worker count and chunking; the ``"fft"`` tier agrees to floating-point
+noise. The direct tier is forced by making every offset set look
+FFT-incompatible, at ``workers=1`` so the patch is in effect where the
+chunks run.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,17 +27,25 @@ from repro.em.phantoms import WaterTankPhantom
 from repro.experiments.common import (
     TankChannelFactory,
     measure_gain_trials,
-    measure_gain_trials_scalar,
     measure_strategy_gains,
-    measure_strategy_gains_scalar,
     power_up_probability,
-    power_up_probability_scalar,
 )
 from repro.experiments import ber
 from repro.sensors.tags import standard_tag_spec
+from tests.oracles import (
+    measure_gain_trials_scalar,
+    measure_strategy_gains_scalar,
+    power_up_probability_scalar,
+)
 
 N_TRIALS = 12
 SEED = 2026
+
+
+def _direct_tier():
+    return mock.patch(
+        "repro.runtime.engine.fft_compatible", return_value=False
+    )
 
 
 @pytest.fixture(scope="module")
@@ -49,21 +62,13 @@ def factory(plan):
 class TestGainTrials:
     def test_direct_engine_bitwise_matches_scalar_loop(self, plan, factory):
         legacy = measure_gain_trials_scalar(factory, plan, N_TRIALS, SEED)
-        batched = measure_gain_trials(
-            factory, plan, N_TRIALS, SEED, engine="direct"
-        )
+        with _direct_tier():
+            batched = measure_gain_trials(factory, plan, N_TRIALS, SEED)
         assert batched == legacy
-
-    def test_scalar_engine_bitwise_matches_scalar_loop(self, plan, factory):
-        legacy = measure_gain_trials_scalar(factory, plan, N_TRIALS, SEED)
-        assert (
-            measure_gain_trials(factory, plan, N_TRIALS, SEED, engine="scalar")
-            == legacy
-        )
 
     def test_fft_engine_close_to_scalar_loop(self, plan, factory):
         legacy = measure_gain_trials_scalar(factory, plan, N_TRIALS, SEED)
-        fft = measure_gain_trials(factory, plan, N_TRIALS, SEED, engine="fft")
+        fft = measure_gain_trials(factory, plan, N_TRIALS, SEED)
         np.testing.assert_allclose(
             [s.cib_gain for s in fft],
             [s.cib_gain for s in legacy],
@@ -93,14 +98,10 @@ class TestGainTrials:
         legacy = measure_gain_trials_scalar(
             factory, plan, N_TRIALS, SEED, include_baseline=False
         )
-        batched = measure_gain_trials(
-            factory,
-            plan,
-            N_TRIALS,
-            SEED,
-            include_baseline=False,
-            engine="direct",
-        )
+        with _direct_tier():
+            batched = measure_gain_trials(
+                factory, plan, N_TRIALS, SEED, include_baseline=False
+            )
         assert batched == legacy
 
 
@@ -116,8 +117,9 @@ class TestPowerUp:
     def test_engines_match_scalar_loop(self, plan):
         args = self._args(plan)
         legacy = power_up_probability_scalar(*args)
-        assert power_up_probability(*args, engine="direct") == legacy
-        assert power_up_probability(*args, engine="auto") == legacy
+        with _direct_tier():
+            assert power_up_probability(*args) == legacy
+        assert power_up_probability(*args) == legacy
 
     def test_workers_do_not_change_results(self, plan):
         args = self._args(plan)
@@ -150,9 +152,10 @@ class TestStrategyGains:
         legacy = measure_strategy_gains_scalar(
             factory, strategy_factory, N_TRIALS, SEED
         )
-        batched = measure_strategy_gains(
-            factory, strategy_factory, N_TRIALS, SEED, engine="direct"
-        )
+        with _direct_tier():
+            batched = measure_strategy_gains(
+                factory, strategy_factory, N_TRIALS, SEED
+            )
         assert batched == legacy
 
     def test_pooled_matches_serial(self, plan, factory):

@@ -1,10 +1,12 @@
 """Parity tests: block-decoded BER kernel vs the per-word reference."""
 
-import numpy as np
+from unittest import mock
+
 import pytest
 
 from repro.experiments import ber
 from repro.kernels import ber_block
+from tests.oracles import word_errors_chunk
 
 _KW = dict(
     seed=54,
@@ -19,7 +21,7 @@ class TestChunkParity:
     @pytest.mark.parametrize("noise_std", [0.2, 0.9, 1.4])
     def test_full_range_equal(self, noise_std):
         kernel = ber_block(0, 30, noise_std=noise_std, **_KW)
-        scalar = ber._word_errors_chunk(0, 30, noise_std=noise_std, **_KW)
+        scalar = word_errors_chunk(0, 30, noise_std=noise_std, **_KW)
         assert kernel == scalar
 
     def test_split_invariance(self):
@@ -39,12 +41,9 @@ class TestChunkParity:
 class TestExperimentParity:
     def test_kernel_run_matches_scalar_run(self):
         config = ber.BerConfig.fast()
-        scalar_config = ber.BerConfig(
-            snr_db_points=config.snr_db_points,
-            n_words=config.n_words,
-            use_kernels=False,
-        )
-        assert ber.run(config).curves == ber.run(scalar_config).curves
+        with mock.patch.object(ber, "ber_block", word_errors_chunk):
+            scalar = ber.run(config)
+        assert ber.run(config).curves == scalar.curves
 
     def test_worker_count_invariance(self):
         base = ber.BerConfig(snr_db_points=(-6.0,), n_words=24)

@@ -11,6 +11,7 @@ from repro.faults.plan import (
     reference_holdover,
     tag_detuning,
 )
+from tests.oracles import run_wakeup_reference
 
 _BASE = dict(depths_m=(0.05, 0.24), n_trials=3, max_periods=2)
 
@@ -24,7 +25,7 @@ _FAULTS = FaultPlan(
 class TestHealthyParity:
     def test_kernel_rows_match_legacy(self):
         kernel = wl.run(wl.WakeupConfig(**_BASE))
-        legacy = wl.run(wl.WakeupConfig(**_BASE, use_kernels=False))
+        legacy = run_wakeup_reference(wl.WakeupConfig(**_BASE))
         assert kernel.rows == legacy.rows
 
     def test_worker_count_invariance(self):
@@ -69,8 +70,8 @@ class TestHealthyParity:
 class TestFaultParity:
     def test_faulted_rows_match_legacy(self):
         kernel = wl.run(wl.WakeupConfig(**_BASE, fault_plan=_FAULTS))
-        legacy = wl.run(
-            wl.WakeupConfig(**_BASE, fault_plan=_FAULTS, use_kernels=False)
+        legacy = run_wakeup_reference(
+            wl.WakeupConfig(**_BASE, fault_plan=_FAULTS)
         )
         assert kernel.rows == legacy.rows
 

@@ -1,11 +1,20 @@
 """Unit tests for the batched envelope-evaluation engine."""
 
+from unittest import mock
+
 import numpy as np
-import pytest
 
 from repro.core import waveform
 from repro.core.plan import paper_plan
 from repro.runtime import engine
+from tests.oracles import peak_amplitudes_scalar
+
+
+def _direct_tier():
+    """Force the direct tier: offsets look FFT-incompatible."""
+    return mock.patch(
+        "repro.runtime.engine.fft_compatible", return_value=False
+    )
 
 
 def _random_betas(n_draws, n, seed=0):
@@ -39,36 +48,27 @@ class TestFftCompatible:
 
 class TestResolveEngine:
     def test_auto_prefers_fft(self):
-        assert engine.resolve_engine("auto", np.array([0.0, 7.0]), 1.0) == "fft"
+        assert engine._resolve_tier(np.array([0.0, 7.0]), 1.0) == "fft"
 
     def test_auto_falls_back_to_direct(self):
-        assert (
-            engine.resolve_engine("auto", np.array([0.0, 7.3]), 1.0)
-            == "direct"
-        )
-
-    def test_explicit_fft_incompatible_raises(self):
-        with pytest.raises(ValueError, match="fft engine requires"):
-            engine.resolve_engine("fft", np.array([0.0, 7.3]), 1.0)
-
-    def test_unknown_engine_raises(self):
-        with pytest.raises(ValueError, match="engine must be one of"):
-            engine.resolve_engine("vectorized", np.array([0.0, 7.0]), 1.0)
+        assert engine._resolve_tier(np.array([0.0, 7.3]), 1.0) == "direct"
 
 
 class TestPeakAmplitudes:
     def test_direct_matches_scalar_bitwise(self):
         offsets = paper_plan().offsets_array()
         betas = _random_betas(40, offsets.size, seed=1)
-        direct = engine.peak_amplitudes(offsets, betas, 2.0, engine="direct")
-        scalar = engine.peak_amplitudes(offsets, betas, 2.0, engine="scalar")
+        with _direct_tier():
+            direct = engine.peak_amplitudes(offsets, betas, 2.0)
+        scalar = peak_amplitudes_scalar(offsets, betas, 2.0)
         np.testing.assert_array_equal(direct, scalar)
 
     def test_fft_close_to_direct(self):
         offsets = paper_plan().offsets_array()
         betas = _random_betas(40, offsets.size, seed=2)
-        fft = engine.peak_amplitudes(offsets, betas, 2.0, engine="fft")
-        direct = engine.peak_amplitudes(offsets, betas, 2.0, engine="direct")
+        fft = engine.peak_amplitudes(offsets, betas, 2.0)
+        with _direct_tier():
+            direct = engine.peak_amplitudes(offsets, betas, 2.0)
         np.testing.assert_allclose(fft, direct, rtol=1e-10)
 
     def test_single_row_promoted(self):
@@ -83,9 +83,8 @@ class TestPeakAmplitudes:
         offsets = np.array([0.0, 7.0, 23.0])
         betas = _random_betas(12, 3, seed=4)
         amplitudes = np.random.default_rng(5).uniform(0.5, 2.0, (12, 3))
-        batched = engine.peak_amplitudes(
-            offsets, betas, 1.0, amplitudes, engine="direct"
-        )
+        with _direct_tier():
+            batched = engine.peak_amplitudes(offsets, betas, 1.0, amplitudes)
         for index in range(12):
             reference, _ = waveform.peak_envelope(
                 offsets, betas[index], 1.0, amplitudes[index]
@@ -95,15 +94,15 @@ class TestPeakAmplitudes:
     def test_chunk_boundaries_do_not_change_results(self, monkeypatch):
         offsets = paper_plan().offsets_array()
         betas = _random_betas(30, offsets.size, seed=6)
-        full = engine.peak_amplitudes(offsets, betas, 2.0, engine="direct")
+        with _direct_tier():
+            full = engine.peak_amplitudes(offsets, betas, 2.0)
         # Force many tiny chunks through both vector tiers.
         monkeypatch.setattr(engine, "DIRECT_CHUNK_ELEMENTS", 1)
         monkeypatch.setattr(engine, "FFT_CHUNK_ELEMENTS", 1)
-        chunked_direct = engine.peak_amplitudes(
-            offsets, betas, 2.0, engine="direct"
-        )
+        with _direct_tier():
+            chunked_direct = engine.peak_amplitudes(offsets, betas, 2.0)
         np.testing.assert_array_equal(full, chunked_direct)
-        fft_rows = engine.peak_amplitudes(offsets, betas, 2.0, engine="fft")
+        fft_rows = engine.peak_amplitudes(offsets, betas, 2.0)
         monkeypatch.undo()
-        fft_batch = engine.peak_amplitudes(offsets, betas, 2.0, engine="fft")
+        fft_batch = engine.peak_amplitudes(offsets, betas, 2.0)
         np.testing.assert_array_equal(fft_rows, fft_batch)

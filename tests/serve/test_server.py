@@ -108,14 +108,30 @@ class TestRoutes:
                 b"Content-Length: 5\r\n\r\nhello",
             )
             missing = await _http(port, "POST", "/plan", {})
-            return unknown, not_json, missing
+            invalid = [
+                await _http(port, "POST", "/plan", {**_PLAN, **fields})
+                for fields in (
+                    {"seed": -1},
+                    {"center_frequency_hz": 0},
+                    {"center_frequency_hz": -915e6},
+                    {"refine_steps": [1.7, True]},
+                    {"refine_steps": [2.0]},
+                )
+            ]
+            stats = await _http(port, "GET", "/stats")
+            return unknown, not_json, missing, invalid, stats
 
-        unknown, not_json, missing = asyncio.run(
+        unknown, not_json, missing, invalid, stats = asyncio.run(
             _with_server(ServeConfig(), scenario)
         )
         assert unknown[0] == 400 and "n_antenna" in unknown[1]["error"]
         assert not_json[0] == 400
         assert missing[0] == 400 and "n_antennas" in missing[1]["error"]
+        fields = ["seed", "center_frequency_hz", "center_frequency_hz",
+                  "refine_steps", "refine_steps"]
+        for (status, payload), field in zip(invalid, fields):
+            assert status == 400 and field in payload["error"]
+        assert stats[1]["errors"] == 0
 
     def test_malformed_request_line_gets_400(self):
         async def scenario(port, service):

@@ -5,8 +5,10 @@ and every public callable/class must carry a docstring -- deliverable (a)'s
 "clean, documented public API" as an executable check.
 """
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -71,3 +73,61 @@ def test_experiment_modules_have_run():
     ):
         module = getattr(experiments, name)
         assert callable(getattr(module, "run"))
+
+
+SRC_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+REMOVED_NAMES = {
+    "ENGINES",
+    "SEARCH_MODES",
+    "resolve_engine",
+    "run_inventory_reference",
+    "measure_gain_trials_scalar",
+    "power_up_probability_scalar",
+    "measure_strategy_gains_scalar",
+    "powered_mask_scalar",
+    "capture_response_scalar",
+}
+"""Oracle selectors and reference loops that live only in ``tests``."""
+
+
+def _source_modules():
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def test_production_code_never_imports_tests():
+    """An installed wheel has no ``tests`` package to import."""
+    offenders = []
+    for path, tree in _source_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                if name == "tests" or name.startswith("tests."):
+                    offenders.append(f"{path.relative_to(SRC_ROOT)}: {name}")
+    assert not offenders, offenders
+
+
+def test_removed_oracle_names_not_exported():
+    exported = {}
+    for path, tree in _source_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets
+            ):
+                for name in ast.literal_eval(node.value):
+                    exported.setdefault(name, []).append(
+                        str(path.relative_to(SRC_ROOT))
+                    )
+    leaked = {
+        name: where
+        for name, where in exported.items()
+        if name in REMOVED_NAMES
+    }
+    assert not leaked, leaked
