@@ -26,7 +26,12 @@ from repro.fleet.campaign import (
 
 @dataclass(frozen=True)
 class FleetExperimentConfig:
-    """CLI-facing wrapper: the campaign grid plus runner overrides."""
+    """CLI-facing wrapper: the campaign grid plus runner overrides.
+
+    The campaign runs as one pool map over every (cell, shard) pair;
+    ``chunk_size`` counts shards across the whole campaign (``None``:
+    one shard per chunk).
+    """
 
     campaign: FleetCampaignConfig = field(default_factory=FleetCampaignConfig)
     workers: int = 1

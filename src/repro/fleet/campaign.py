@@ -2,15 +2,15 @@
 
 :func:`run_fleet_campaign` sweeps the cells of a
 :class:`FleetCampaignConfig` -- population size x depth band x array size
--- and inventories each cell's fleet shard by shard on a
-:class:`~repro.runtime.runner.TrialRunner`. A shard is a fixed semantic
-partition of the population (part of the :class:`FleetConfig`, never
-derived from the worker count): the reader Select-masks one shard's tags
-and runs the Q-adaptive rounds with capture-effect arbitration to
-completion, then moves to the next shard. Shard results merge in shard
-order, so every table is bit-identical for any ``workers`` /
-``chunk_size`` combination -- the same contract the Monte-Carlo engine
-and the degradation campaigns obey.
+-- and inventories every cell's shards on one
+:class:`~repro.runtime.runner.TrialRunner` map. A shard is a fixed
+semantic partition of the population (part of the :class:`FleetConfig`,
+never derived from the worker count): the reader Select-masks one
+shard's tags and runs the Q-adaptive rounds with capture-effect
+arbitration to completion, then moves to the next shard. Shard results
+merge in cell order, then shard order, so every table is bit-identical
+for any ``workers`` / ``chunk_size`` combination -- the same contract
+the Monte-Carlo engine and the degradation campaigns obey.
 
 Each merged cell yields the results family of the paper's Sec. 3.7
 scaling argument, quantified: tags read, missed-tag fraction (never
@@ -21,9 +21,10 @@ checked by :func:`validate_fleet_dict` and ``tools/check_fleet_schema.py``
 -- the CI fleet smoke asserts against it.
 """
 
+import math
 from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.faults.plan import EMPTY_PLAN, FaultPlan
@@ -62,6 +63,19 @@ _ROW_KEYS = (
     "collision_slots",
     "captures",
     "fleet_hash",
+)
+_COUNT_KEYS = (
+    "population",
+    "n_antennas",
+    "n_powered",
+    "reads",
+    "rounds",
+    "slots",
+    "collision_slots",
+    "captures",
+)
+_FLOAT_KEYS = tuple(
+    key for key in _ROW_KEYS if key not in _COUNT_KEYS + ("fleet_hash",)
 )
 
 
@@ -245,23 +259,35 @@ def validate_fleet_dict(payload: dict) -> None:
         missing = [key for key in _ROW_KEYS if key not in row]
         if missing:
             raise ValueError(f"row {index} missing keys: {missing}")
-        for key in _ROW_KEYS:
-            if key == "fleet_hash":
-                if not isinstance(row[key], str) or not row[key]:
-                    raise ValueError(
-                        f"row {index}: fleet_hash must be a non-empty string"
-                    )
-            elif not isinstance(row[key], (int, float)):
+        if not isinstance(row["fleet_hash"], str) or not row["fleet_hash"]:
+            raise ValueError(
+                f"row {index}: fleet_hash must be a non-empty string"
+            )
+        for key in _COUNT_KEYS:
+            value = row[key]
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"row {index}: {key} must be an integer")
+            if value < 0:
+                raise ValueError(
+                    f"row {index}: {key} must be >= 0, got {value}"
+                )
+        for key in _FLOAT_KEYS:
+            value = row[key]
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValueError(f"row {index}: {key} must be a number")
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"row {index}: {key} must be finite, got {value}"
+                )
         for key in ("missed_fraction", "missed_powered_fraction"):
             if not 0.0 <= row[key] <= 1.0:
                 raise ValueError(
                     f"row {index}: {key} must be in [0, 1], got {row[key]}"
                 )
-        if row["reads"] > row["population"]:
+        if not row["reads"] <= row["n_powered"] <= row["population"]:
             raise ValueError(
-                f"row {index}: reads {row['reads']} exceeds population "
-                f"{row['population']}"
+                f"row {index}: need reads <= n_powered <= population, got "
+                f"{row['reads']} / {row['n_powered']} / {row['population']}"
             )
         if row["read_rate_tags_per_s"] < 0 or row["airtime_s"] < 0:
             raise ValueError(f"row {index}: negative rate or airtime")
@@ -288,26 +314,40 @@ def shard_airtime_s(result: ShardInventoryResult, blf_hz: float) -> float:
     return total
 
 
+def _shard_units(fleets: Sequence[FleetConfig]) -> List[Tuple[int, int]]:
+    """The campaign's ``(cell, shard)`` index space, cell-major.
+
+    One pool map covers it, so position ``i`` of this list is trial
+    ``i`` of that map.
+    """
+    return [
+        (cell, shard)
+        for cell, fleet in enumerate(fleets)
+        for shard in range(fleet.n_shards)
+    ]
+
+
 def _shard_chunk(
     start: int,
     count: int,
-    fleet: FleetConfig,
+    fleets: Tuple[FleetConfig, ...],
     capture: CaptureModel,
     fault_plan: FaultPlan,
     blf_hz: float,
 ) -> List[Dict]:
-    """Inventory shards ``[start, start + count)`` of one fleet.
+    """Inventory units ``[start, start + count)`` of :func:`_shard_units`.
 
     Module-level and bound with :func:`functools.partial`, hence
     picklable for the process pool. Every quantity derives from the
-    fleet config and absolute shard indices, so results are identical
-    for any chunking.
+    fleet configs and absolute ``(cell, shard)`` indices, so results are
+    identical for any chunking, including chunks that straddle cells.
     """
     obs = current_obs()
     payloads: List[Dict] = []
-    for shard in range(start, start + count):
+    for cell, shard in _shard_units(fleets)[start : start + count]:
+        fleet = fleets[cell]
         with obs.stage_span(
-            "fleet.shard", shard=shard, fleet=fleet.stable_hash()
+            "fleet.shard", cell=cell, shard=shard, fleet=fleet.stable_hash()
         ):
             tag_set = generate_shard(fleet, shard, fault_plan=fault_plan)
             result = run_inventory(
@@ -377,43 +417,47 @@ def run_fleet_campaign(
     chunk_size: Optional[int] = None,
     fault_plan: FaultPlan = EMPTY_PLAN,
 ) -> FleetTable:
-    """Sweep the campaign grid, sharding each cell across the runner.
+    """Sweep the campaign grid on one runner map over every shard.
 
-    Shards are the unit of fan-out (``n_trials = n_shards`` per cell);
-    the merge happens in shard order, so the returned table -- including
-    its JSON serialization -- is bitwise identical for any ``workers`` /
-    ``chunk_size`` combination.
+    The unit of fan-out is one ``(cell, shard)`` pair of
+    :func:`_shard_units`; the whole campaign is a single map, so one pool
+    serves every cell and the executor balances shards across workers
+    and cells. ``chunk_size`` counts shards across the whole campaign
+    (default 1: one shard per chunk), so a chunk may straddle cells.
+    Payloads merge in cell order, then shard order, so the returned
+    table -- including its JSON serialization -- is bitwise identical
+    for any ``workers`` / ``chunk_size`` combination.
     """
     obs = current_obs()
-    runner = TrialRunner(workers=workers, chunk_size=chunk_size)
-    capture = config.capture_model()
+    runner = TrialRunner(
+        workers=workers, chunk_size=1 if chunk_size is None else chunk_size
+    )
+    cells = config.cells()
+    fleets = tuple(
+        config.fleet_config(population, band, n_antennas)
+        for population, band, n_antennas in cells
+    )
+    chunk_fn = partial(
+        _shard_chunk,
+        fleets=fleets,
+        capture=config.capture_model(),
+        fault_plan=fault_plan,
+        blf_hz=config.blf_hz,
+    )
     rows: List[Dict] = []
     with obs.tracer.span(
-        "fleet.campaign",
-        n_cells=len(config.cells()),
-        workers=workers,
+        "fleet.campaign", n_cells=len(cells), workers=workers
     ):
-        for population, band, n_antennas in config.cells():
-            fleet = config.fleet_config(population, band, n_antennas)
-            with obs.stage_span(
-                "fleet.cell",
-                population=population,
-                depth_min_m=band[0],
-                depth_max_m=band[1],
-                n_antennas=n_antennas,
-                fleet=fleet.stable_hash(),
-            ):
-                chunk_fn = partial(
-                    _shard_chunk,
-                    fleet=fleet,
-                    capture=capture,
-                    fault_plan=fault_plan,
-                    blf_hz=config.blf_hz,
-                )
-                chunks = runner.map_chunks(
-                    chunk_fn, fleet.n_shards, label="fleet.shard_chunk"
-                )
-                shard_payloads = [p for chunk in chunks for p in chunk]
+        chunks = runner.map_chunks(
+            chunk_fn,
+            sum(fleet.n_shards for fleet in fleets),
+            label="fleet.shard_chunk",
+        )
+        payloads = [p for chunk in chunks for p in chunk]
+        offset = 0
+        for (_, band, _), fleet in zip(cells, fleets):
+            shard_payloads = payloads[offset : offset + fleet.n_shards]
+            offset += fleet.n_shards
             rows.append(_merge_cell(fleet, band, shard_payloads))
             obs.metrics.counter("fleet.cells").inc()
     return FleetTable(config=config, rows=rows)

@@ -35,7 +35,7 @@ import numpy as np
 from repro.constants import CIB_CENTER_FREQUENCY_HZ
 from repro.em import media as media_lib
 from repro.em.channel import arc_array_distances
-from repro.em.propagation import tissue_field_amplitude
+from repro.em.propagation import field_transmittance
 from repro.errors import ConfigurationError
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import EMPTY_PLAN, FaultPlan
@@ -185,13 +185,15 @@ class TagSet:
 
 
 def _tag_rng(
-    config: FleetConfig, tag_index: int, stream: int
+    seed_material: int, seed: int, tag_index: int, stream: int
 ) -> np.random.Generator:
+    """One tag's generator; ``seed_material`` is the fleet's
+    :meth:`FleetConfig.seed_material`, computed once per shard."""
     sequence = np.random.SeedSequence(
         [
             _FLEET_STREAM_TAG,
-            config.seed_material(),
-            int(config.seed),
+            int(seed_material),
+            int(seed),
             int(tag_index),
             int(stream),
         ]
@@ -254,6 +256,24 @@ def generate_shard(
     model = TagPowerModel(front_end)
     injector = FaultInjector(fault_plan, config.seed)
     aperture = front_end.effective_aperture_in(medium, config.frequency_hz)
+    material = config.seed_material()
+
+    # Eq. 2 invariants of the shard (tissue_field_amplitude would rederive
+    # them per element): the free-space numerator sqrt(30 EIRP) and, in
+    # tissue, the air->medium transmittance and attenuation constant.
+    eirp = config.eirp_per_antenna_w
+    if eirp < 0:
+        raise ValueError(f"EIRP must be non-negative, got {eirp}")
+    field_numerator = math.sqrt(30.0 * eirp)
+    in_tissue = medium != media_lib.AIR
+    if in_tissue:
+        transmittance = field_transmittance(
+            media_lib.AIR, medium, config.frequency_hz
+        )
+        alpha = medium.attenuation_np_per_m(config.frequency_hz)
+    uplink_norm = math.sqrt(60.0 * eirp)
+    idle = np.zeros(config.n_antennas)
+    element_scale = np.ones(config.n_antennas)
 
     epc_bits = np.empty((n, 96), dtype=int)
     depths = np.empty(n)
@@ -263,7 +283,7 @@ def generate_shard(
     mac_rngs: List[np.random.Generator] = []
 
     for row, tag_index in enumerate(range(lo, hi)):
-        rng = _tag_rng(config, tag_index, _STREAM_PHYSICS)
+        rng = _tag_rng(material, config.seed, tag_index, _STREAM_PHYSICS)
         depth = float(
             rng.uniform(config.depth_min_m, config.depth_max_m)
         )
@@ -272,24 +292,20 @@ def generate_shard(
         )
         epc_bits[row] = rng.integers(0, 2, size=96)
 
-        element_fields = np.array(
-            [
-                tissue_field_amplitude(
-                    config.eirp_per_antenna_w,
-                    float(r),
-                    depth,
-                    medium,
-                    config.frequency_hz,
-                )
-                for r in distances
-            ]
-        )
-        element_scale = np.ones(config.n_antennas)
+        if depth < 0:
+            raise ValueError(f"depth must be non-negative, got {depth}")
+        if np.any(distances <= 0):
+            raise ValueError(f"distances must be positive, got {distances}")
+        # tissue_field_amplitude over every element at once, in its
+        # operation order (one math.exp per tag), so each element is
+        # bitwise the scalar value.
+        element_fields = (field_numerator / distances) * math.sqrt(2.0)
+        if in_tissue:
+            element_fields = (
+                element_fields * transmittance * math.exp(-alpha * depth)
+            )
         perturbed = injector.perturb_trial(
-            tag_index,
-            np.zeros(config.n_antennas),
-            np.zeros(config.n_antennas),
-            element_scale,
+            tag_index, idle, idle, element_scale
         )
         # Aligned CIB peak: the envelope sweeps through the constructive
         # instant once per beat period, where the field is the coherent
@@ -301,17 +317,14 @@ def generate_shard(
         voltage *= perturbed.voltage_scale
         # One-way field gain of the strongest element, for the uplink
         # budget (the reader mounts on the closest array element).
-        forward_gain = float(
-            np.max(
-                element_fields
-                / math.sqrt(60.0 * config.eirp_per_antenna_w)
-            )
-        )
+        forward_gain = float(np.max(element_fields / uplink_norm))
         depths[row] = depth
         voltages[row] = voltage
         powered[row] = model.powers_up_at_peak(voltage)
         amplitudes[row] = backscatter_amplitude_v(forward_gain, aperture)
-        mac_rngs.append(_tag_rng(config, tag_index, _STREAM_MAC))
+        mac_rngs.append(
+            _tag_rng(material, config.seed, tag_index, _STREAM_MAC)
+        )
 
     return TagSet(
         epc_bits=epc_bits,

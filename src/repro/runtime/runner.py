@@ -200,15 +200,17 @@ class TrialRunner:
         Non-persistent runners get a throwaway pool sized to the call;
         persistent runners lazily start (or reuse) one warm pool sized to
         ``self.workers`` so later calls with more spans still have every
-        worker available.
+        worker available. Every pool started, throwaway or warm, counts
+        in ``runner.pool_starts``.
         """
+        if self.persistent and self._pool is not None:
+            return self._pool
+        current_obs().metrics.counter("runner.pool_starts").inc()
         if not self.persistent:
             return ProcessPoolExecutor(max_workers=max_workers)
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=_pool_context()
-            )
-            current_obs().metrics.counter("runner.pool_starts").inc()
+        self._pool = ProcessPoolExecutor(
+            max_workers=self.workers, mp_context=_pool_context()
+        )
         return self._pool
 
     def warm_up(self) -> None:

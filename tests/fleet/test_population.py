@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.faults.plan import antenna_dropout
+from repro.faults.plan import FaultPlan, antenna_dropout, tag_detuning
 from repro.fleet.population import (
     FleetConfig,
     backscatter_amplitude_v,
@@ -12,7 +12,33 @@ from repro.fleet.population import (
     shard_bounds,
 )
 
+from tests.oracles import generate_shard_reference
+
 SMALL = FleetConfig(n_tags=12, n_shards=3, seed=17)
+
+#: Half the tags lose antennas 0 and 3, half detune: both fault kinds
+#: fire inside one shard, on different tags.
+DROPOUT_AND_DETUNING = FaultPlan(
+    events=antenna_dropout(antennas=(0, 3), probability=0.5).events
+    + tag_detuning(0.4, probability=0.5).events
+)
+
+
+def _assert_tag_sets_equal(actual, expected):
+    for name in (
+        "epc_bits",
+        "reply_amplitude_v",
+        "powered",
+        "global_indices",
+        "depths_m",
+        "input_voltage_v",
+    ):
+        got, want = getattr(actual, name), getattr(expected, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+    assert [r.bit_generator.state for r in actual.mac_rngs] == [
+        r.bit_generator.state for r in expected.mac_rngs
+    ]
 
 
 class TestFleetConfig:
@@ -116,6 +142,43 @@ class TestGenerateShard:
             faulted.input_voltage_v <= healthy.input_voltage_v + 1e-15
         )
         assert np.any(faulted.input_voltage_v < healthy.input_voltage_v)
+
+
+class TestReferenceParity:
+    """generate_shard against the per-element scalar loop, bitwise."""
+
+    @pytest.mark.parametrize("medium", ["muscle", "water", "air"])
+    @pytest.mark.parametrize("tag", ["standard", "miniature"])
+    @pytest.mark.parametrize(
+        "plan", [None, DROPOUT_AND_DETUNING], ids=["healthy", "faulted"]
+    )
+    def test_bitwise_equal_to_scalar_loop(self, medium, tag, plan):
+        config = FleetConfig(
+            n_tags=10, n_shards=2, medium=medium, tag=tag, seed=29
+        )
+        kwargs = {} if plan is None else {"fault_plan": plan}
+        for shard in range(config.n_shards):
+            _assert_tag_sets_equal(
+                generate_shard(config, shard, **kwargs),
+                generate_shard_reference(config, shard, **kwargs),
+            )
+
+    def test_fault_plan_fires_both_kinds(self):
+        """The faulted parity case really drops antennas and detunes."""
+        config = FleetConfig(n_tags=10, n_shards=1, seed=29)
+        healthy = generate_shard(config, 0)
+        dropout = generate_shard(
+            config, 0, antenna_dropout(antennas=(0, 3), probability=0.5)
+        )
+        detuned = generate_shard(config, 0, tag_detuning(0.4, 0.5))
+        for faulted in (dropout, detuned):
+            changed = faulted.input_voltage_v != healthy.input_voltage_v
+            assert 0 < np.count_nonzero(changed) < config.n_tags
+
+    def test_negative_eirp_rejected(self):
+        config = FleetConfig(n_tags=2, n_shards=1, eirp_per_antenna_w=-1.0)
+        with pytest.raises(ValueError, match="EIRP"):
+            generate_shard(config, 0)
 
 
 class TestBackscatterBudget:

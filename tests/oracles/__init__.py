@@ -10,6 +10,7 @@ time production against them.
 """
 
 from tests.oracles.ber import word_errors_chunk
+from tests.oracles.fleet import generate_shard_reference
 from tests.oracles.inventory import (
     run_inventory_reference,
     run_throughput_reference,
@@ -26,6 +27,7 @@ from tests.oracles.wakeup import run_wakeup_reference
 
 __all__ = [
     "capture_response_scalar",
+    "generate_shard_reference",
     "measure_gain_trials_scalar",
     "measure_strategy_gains_scalar",
     "peak_amplitudes_scalar",

@@ -205,11 +205,14 @@ class TestPersistentPool:
     def test_non_persistent_runner_gets_fresh_pools(self):
         from repro.obs.context import obs_context
 
-        with obs_context():
+        with obs_context() as obs:
             runner = TrialRunner(workers=2)
             first = runner.map_chunks(worker_pid_chunk, 2)
             second = runner.map_chunks(worker_pid_chunk, 2)
+            counters = obs.metrics.counters()
         assert not (set(np.concatenate(first)) & set(np.concatenate(second)))
+        # One-shot pools count too: pool churn shows in --metrics-out.
+        assert counters["runner.pool_starts"] == 2
 
     def test_shutdown_is_idempotent(self):
         runner = TrialRunner(workers=2, persistent=True)
